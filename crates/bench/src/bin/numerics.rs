@@ -25,7 +25,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, paper_note, show, time_best};
 use ln_datasets::{Dataset, Registry};
 use ln_obs::ObsLevel;
 use ln_ppm::taps::{ActivationHook, ActivationSite, Tap};
@@ -48,17 +48,6 @@ const POOLS: [usize; 3] = [1, 2, 4];
 struct OverheadRow {
     mode: &'static str,
     ns_per_value: f64,
-}
-
-/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
-fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        black_box(f(iters));
-        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
 }
 
 fn probe_tap(i: u64) -> Tap {

@@ -15,9 +15,8 @@
 
 use std::hint::black_box;
 use std::sync::Arc;
-use std::time::Instant;
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, mix, paper_note, show, time_best};
 use ln_obs::{ObsLevel, Tracer, WallClock};
 
 use lightnobel::report::Table;
@@ -29,32 +28,6 @@ struct EventCost {
     event: &'static str,
     level: &'static str,
     ns_per_op: f64,
-}
-
-/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
-fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        black_box(f(iters));
-        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// A compute kernel standing in for real work between events: 64 rounds of
-/// integer mixing, opaque to the optimizer. Large enough that a single
-/// relaxed atomic load should disappear into it; small enough that bloat
-/// from a botched off-gate would still register.
-#[inline(always)]
-fn mix(mut x: u64) -> u64 {
-    for _ in 0..64 {
-        x = x
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(29)
-            .wrapping_add(0xD1B5_4A32_D192_ED03);
-    }
-    x
 }
 
 fn bench_off_delta(iters: u64, reps: usize) -> (f64, f64, f64) {

@@ -20,6 +20,7 @@ use std::time::Instant;
 
 use ln_accel::HwConfig;
 use ln_bench::{banner, paper_note, show};
+use ln_insight::regression::median;
 use ln_par::{with_pool, Pool};
 use ln_ppm::blocks::FoldingBlock;
 use ln_ppm::cost::{CostModel, ALL_STAGES};
@@ -111,19 +112,6 @@ fn ratio(serial: f64, parallel: f64) -> f64 {
     }
 }
 
-/// Median of a non-empty sample (mean of the middle pair for even sizes).
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    let n = samples.len();
-    if n == 0 {
-        0.0
-    } else if n % 2 == 1 {
-        samples[n / 2]
-    } else {
-        0.5 * (samples[n / 2 - 1] + samples[n / 2])
-    }
-}
-
 /// Worst observed min-pool speedup per kernel across all sizes, in
 /// first-seen kernel order.
 fn kernel_min_speedups(results: &[BenchResult]) -> Vec<(&'static str, f64)> {
@@ -202,8 +190,8 @@ fn bench_under_pools<R>(
         serial_seconds: ts,
         parallel_seconds: tp,
         pool4_seconds: t4,
-        speedup_parallel: median(&mut rp_ratios).max(ratio(ts, tp)),
-        speedup_pool4: median(&mut r4_ratios).max(ratio(ts, t4)),
+        speedup_parallel: median(&rp_ratios).max(ratio(ts, tp)),
+        speedup_pool4: median(&r4_ratios).max(ratio(ts, t4)),
         bitwise_identical: identical,
         flops,
     }

@@ -21,9 +21,8 @@
 //! count and exits non-zero on an off-mode or monotonicity violation.
 
 use std::hint::black_box;
-use std::time::Instant;
 
-use ln_bench::{banner, paper_note, show};
+use ln_bench::{banner, mix, paper_note, show, time_best};
 use ln_obs::{ArgValue, ObsLevel, Registry, TraceEvent, TracePhase};
 use ln_quant::ActPrecision;
 use ln_serve::{Backend, LightNobelBackend};
@@ -52,30 +51,6 @@ struct MemoryRow {
     bucket: &'static str,
     precision: &'static str,
     max_bytes: f64,
-}
-
-/// Best-of-`reps` nanoseconds per iteration of `f(iters)`.
-fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let started = Instant::now();
-        black_box(f(iters));
-        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
-    }
-    best
-}
-
-/// The same optimizer-opaque compute kernel `obs_overhead` uses as the
-/// stand-in for real work between events.
-#[inline(always)]
-fn mix(mut x: u64) -> u64 {
-    for _ in 0..64 {
-        x = x
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(29)
-            .wrapping_add(0xD1B5_4A32_D192_ED03);
-    }
-    x
 }
 
 /// `LN_OBS=off`, no watch attached: the engine hot path is an `Option`

@@ -33,6 +33,8 @@
 #![warn(missing_docs)]
 
 use lightnobel::report::Table;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// Prints a section banner.
 pub fn banner(title: &str) {
@@ -49,21 +51,42 @@ pub fn show(table: &Table) {
     print!("{}", table.render());
 }
 
-/// Dataset-average sequence lengths used by the hardware comparisons
-/// (kept moderate so `all_experiments` completes quickly; the analytic
-/// models accept any length).
+/// Every record length of a dataset, the probe set of the hardware
+/// comparisons (the analytic models accept any length).
 pub fn dataset_probe_lengths(dataset: ln_datasets::Dataset) -> Vec<usize> {
-    use ln_datasets::{Dataset, Registry};
-    let reg = Registry::standard();
-    let cap = match dataset {
-        Dataset::Cameo => usize::MAX,
-        _ => usize::MAX,
-    };
-    reg.dataset(dataset)
+    ln_datasets::Registry::standard()
+        .dataset(dataset)
         .records()
         .iter()
-        .map(|r| r.length().min(cap))
+        .map(|r| r.length())
         .collect()
+}
+
+/// Best-of-`reps` nanoseconds per iteration of `f(iters)`: the timing loop
+/// of the off-mode overhead gates.
+pub fn time_best(reps: usize, iters: u64, mut f: impl FnMut(u64) -> u64) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let started = Instant::now();
+        black_box(f(iters));
+        best = best.min(started.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    best
+}
+
+/// A compute kernel standing in for real work between events: 64 rounds of
+/// integer mixing, opaque to the optimizer. Large enough that a single
+/// relaxed atomic load should disappear into it; small enough that bloat
+/// from a botched off-gate would still register.
+#[inline(always)]
+pub fn mix(mut x: u64) -> u64 {
+    for _ in 0..64 {
+        x = x
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .rotate_left(29)
+            .wrapping_add(0xD1B5_4A32_D192_ED03);
+    }
+    x
 }
 
 #[cfg(test)]

@@ -1,9 +1,10 @@
 //! Pluggable time sources for tracing.
 //!
 //! A [`Tracer`](crate::Tracer) stamps events through a [`Clock`]. The
-//! threaded `FoldService` uses [`WallClock`]; the deterministic engine uses
-//! [`VirtualClock`] driven by its own simulated schedule, so a seeded chaos
-//! run produces byte-identical traces on any machine at any pool size.
+//! global tracer (ln-par kernel spans) uses [`WallClock`]; the
+//! deterministic engine uses [`VirtualClock`] driven by its own simulated
+//! schedule, so a seeded chaos run produces byte-identical traces on any
+//! machine at any pool size.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;

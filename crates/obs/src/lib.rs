@@ -13,9 +13,9 @@
 //! * [`registry`] — named [`Counter`]s, [`Gauge`]s and log-bucketed
 //!   [`Histogram`]s behind lock-free atomics on the hot path, with a
 //!   `BTreeMap` [`Registry::snapshot`] API for rendering and export.
-//! * [`clock`] — the pluggable [`Clock`]: [`WallClock`] for the threaded
-//!   `FoldService`, [`VirtualClock`] for the deterministic engine, so
-//!   traces of seeded chaos runs are bitwise-reproducible.
+//! * [`clock`] — the pluggable [`Clock`]: [`WallClock`] for the global
+//!   tracer, [`VirtualClock`] for the deterministic engine, so traces of
+//!   seeded chaos runs are bitwise-reproducible.
 //! * [`trace`] — [`Tracer`] ring buffers of [`TraceEvent`]s (bounded, O(1)
 //!   per event) and RAII span guards; the [`span!`] macro records a
 //!   `span!("tri_mul", seq_len)`-style guard against the global tracer.

@@ -196,23 +196,23 @@ impl Batcher {
 
     /// Buckets eligible for flushing at `now`, oldest head first (ties
     /// break on bucket index, keeping the schedule deterministic). A head
-    /// still inside its backoff gate parks its bucket. With `drain` set
-    /// every non-empty bucket is eligible regardless of gates (shutdown
-    /// flush).
-    pub fn ready_buckets(&self, now: f64, drain: bool) -> Vec<usize> {
+    /// still inside its backoff gate parks its bucket.
+    pub fn ready_buckets(&self, now: f64) -> Vec<usize> {
         let mut ready: Vec<(f64, u64, usize)> = self
             .queues
             .iter()
             .enumerate()
             .filter_map(|(b, q)| {
                 let head = q.front()?;
-                if !drain && head.earliest_seconds > now {
+                if head.earliest_seconds > now {
                     return None;
                 }
                 let full = q.len() >= self.cfg.max_batch;
-                let waited = now - head.request.arrival_seconds >= self.cfg.max_wait_seconds;
+                // `now - arrival` can round below `max_wait` at the flush
+                // deadline; compare against it as `next_deadline` computes it.
+                let waited = now >= head.request.arrival_seconds + self.cfg.max_wait_seconds;
                 let retried = head.attempt > 0;
-                (drain || full || waited || retried).then_some((
+                (full || waited || retried).then_some((
                     head.request.arrival_seconds,
                     head.request.id,
                     b,
@@ -255,8 +255,7 @@ impl Batcher {
 
     /// Pops a batch from the front of a bucket: up to `max_batch` requests,
     /// greedily extended while `fits` accepts the accumulated lengths and
-    /// the next entry's backoff gate has opened (pass `now = f64::INFINITY`
-    /// to ignore gates when draining at shutdown).
+    /// the next entry's backoff gate has opened by `now`.
     ///
     /// The caller must have verified that the head alone fits; buckets are
     /// never mixed, so every returned request maps to `bucket`.
@@ -331,16 +330,26 @@ mod tests {
         let mut b = batcher(2, 10);
         b.offer(req(1, 50, 0.0)).unwrap();
         assert!(
-            b.ready_buckets(0.1, false).is_empty(),
+            b.ready_buckets(0.1).is_empty(),
             "single fresh request waits"
         );
-        assert_eq!(b.ready_buckets(2.0, false), vec![0], "head waited max_wait");
+        assert_eq!(b.ready_buckets(2.0), vec![0], "head waited max_wait");
         b.offer(req(2, 60, 0.1)).unwrap();
         assert_eq!(
-            b.ready_buckets(0.1, false),
+            b.ready_buckets(0.1),
             vec![0],
             "full batch is ready immediately"
         );
+    }
+
+    #[test]
+    fn ready_exactly_at_the_flush_deadline() {
+        // (0.3 + 2.0) - 0.3 rounds below 2.0: the bucket must still be
+        // ready at the instant `next_deadline` wakes the scheduler for it.
+        let mut b = batcher(8, 10);
+        b.offer(req(1, 50, 0.3)).unwrap();
+        let flush = b.next_deadline(0.3).expect("flush pending");
+        assert_eq!(b.ready_buckets(flush), vec![0]);
     }
 
     #[test]
@@ -350,15 +359,7 @@ mod tests {
         b.offer(req(2, 50, 0.2)).unwrap();
         b.offer(req(3, 300, 0.2)).unwrap();
         // max_batch = 1: every non-empty bucket is ready; ties break on id.
-        assert_eq!(b.ready_buckets(5.0, false), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn drain_flushes_underfull_buckets() {
-        let mut b = batcher(8, 10);
-        b.offer(req(1, 50, 0.0)).unwrap();
-        assert!(b.ready_buckets(0.0, false).is_empty());
-        assert_eq!(b.ready_buckets(0.0, true), vec![0]);
+        assert_eq!(b.ready_buckets(5.0), vec![0, 1, 2]);
     }
 
     #[test]
@@ -420,15 +421,15 @@ mod tests {
         assert_eq!(b.requeue(retry), 0);
         assert_eq!(b.depth(0), 2);
         // Head (id 1, fresh) hasn't waited max_wait at t=1.0 → not ready.
-        assert!(b.ready_buckets(1.0, false).is_empty());
+        assert!(b.ready_buckets(1.0).is_empty());
         // At t=2.0 it is; the batch stops before the gated retry.
-        assert_eq!(b.ready_buckets(2.0, false), vec![0]);
+        assert_eq!(b.ready_buckets(2.0), vec![0]);
         let batch = b.take_batch(0, 2.0, |_| true);
         assert_eq!(batch.len(), 1, "gated retry stays queued");
         assert_eq!(batch[0].request.id, 1);
         // Now the retry is the head: parked until its gate opens.
-        assert!(b.ready_buckets(4.9, false).is_empty());
-        let ready = b.ready_buckets(5.0, false);
+        assert!(b.ready_buckets(4.9).is_empty());
+        let ready = b.ready_buckets(5.0);
         assert_eq!(ready, vec![0], "retried head is ready as soon as gated");
         let batch = b.take_batch(0, 5.0, |_| true);
         assert_eq!(batch[0].attempt, 1);
@@ -446,20 +447,6 @@ mod tests {
         assert_eq!(b.next_deadline(0.0), Some(2.0));
         // Past the stale flush, the backoff gate is the next wake point.
         assert_eq!(b.next_deadline(3.0), Some(7.5));
-    }
-
-    #[test]
-    fn drain_ignores_backoff_gates() {
-        let mut b = batcher(8, 10);
-        b.requeue(QueuedRequest {
-            request: req(1, 50, 0.0),
-            attempt: 2,
-            earliest_seconds: 1e9,
-        });
-        assert!(b.ready_buckets(0.0, false).is_empty());
-        assert_eq!(b.ready_buckets(0.0, true), vec![0]);
-        let batch = b.take_batch(0, f64::INFINITY, |_| true);
-        assert_eq!(batch.len(), 1);
     }
 
     #[test]

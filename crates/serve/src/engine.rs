@@ -10,7 +10,7 @@
 //! schedule and statistics (the reproducibility the integration and chaos
 //! tests pin).
 //!
-//! Resilience semantics (shared with the threaded service):
+//! Resilience semantics (the threaded service steps this same engine):
 //!
 //! * an injected **stall** completes late (modeled time × factor) but
 //!   successfully;
@@ -1076,7 +1076,7 @@ impl Engine {
     fn dispatch(&mut self, now: f64, stats: &mut ServeStats) {
         loop {
             let mut dispatched = false;
-            'buckets: for bucket in self.batcher.ready_buckets(now, false) {
+            'buckets: for bucket in self.batcher.ready_buckets(now) {
                 let Some(head_len) = self.batcher.head_length(bucket) else {
                     continue;
                 };

@@ -26,9 +26,9 @@
 //! * [`engine`] — the deterministic virtual-time scheduler: identical seed
 //!   in, identical batch schedule and statistics out. All latency numbers
 //!   come from the device models, never from wall-clock.
-//! * [`service`] — the threaded front-end ([`FoldService`]): one worker
-//!   thread per backend, non-blocking `submit`, graceful shutdown with a
-//!   `Cancelled` sweep, and panic containment per worker.
+//! * [`service`] — the threaded front-end ([`FoldService`]): one driver
+//!   thread stepping an [`Engine`] on the wall clock, non-blocking
+//!   `submit`, and a fast-forward shutdown that answers every request.
 //! * [`workload`] — deterministic synthetic CAMEO/CASP-mix traffic.
 //! * [`stats`] — throughput, p50/p99 latency, queue depth, per-bucket
 //!   occupancy, plus the resilience counters (faults, retries, breaker
@@ -37,16 +37,15 @@
 //!
 //! # Resilience
 //!
-//! Both schedulers accept a seeded, deterministic
-//! [`ln_fault::FaultPlan`] (backend stalls, transient errors, worker
-//! panics, HBM pressure windows, queue poison) through
-//! [`Engine::with_resilience`] / [`FoldService::start_with_resilience`],
-//! and answer it with bounded retry + deterministic backoff, a per-backend
-//! circuit breaker, and the AAQ precision-degradation fallback: under
-//! memory pressure a route is re-quantized down the
-//! [`ln_quant::ActPrecision`] ladder (FP32 → INT8 → INT4) instead of
-//! rejected, with the degradation recorded in the response and in
-//! [`ServeStats::resilience_tables`].
+//! The engine accepts a seeded, deterministic [`ln_fault::FaultPlan`]
+//! (backend stalls, transient errors, worker panics, HBM pressure windows,
+//! queue poison) through [`Engine::with_resilience`] — the service hands
+//! it over in [`FoldService::start_with_resilience`] — and answers it with
+//! bounded retry + deterministic backoff, a per-backend circuit breaker,
+//! and the AAQ precision-degradation fallback: under memory pressure a
+//! route is re-quantized down the [`ln_quant::ActPrecision`] ladder
+//! (FP32 → INT8 → INT4) instead of rejected, with the degradation recorded
+//! in the response and in [`ServeStats::resilience_tables`].
 //!
 //! # Quickstart
 //!
@@ -79,6 +78,6 @@ pub use batcher::{Batcher, BatcherConfig, QueuedRequest};
 pub use bucket::BucketPolicy;
 pub use engine::{Engine, EngineOutcome};
 pub use request::{FoldError, FoldOutcome, FoldRequest, FoldResponse, RejectReason};
-pub use service::{FoldService, ServiceConfig, SubmitError};
+pub use service::{FoldService, SubmitError};
 pub use stats::{AccuracyStats, BackendResilience, BatchRecord, ResilienceStats, ServeStats};
 pub use workload::WorkloadSpec;

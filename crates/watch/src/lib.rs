@@ -120,7 +120,7 @@ pub struct Watch {
 }
 
 /// Shared handle: the engine and the cluster router both feed one `Watch`,
-/// and the engine must stay `Send` for the threaded `FoldService`.
+/// and the engine must stay `Send` for the `FoldService` driver thread.
 pub type WatchHandle = Arc<Mutex<Watch>>;
 
 impl Watch {

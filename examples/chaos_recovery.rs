@@ -5,18 +5,16 @@
 //!
 //! Run with `cargo run --release --example chaos_recovery`.
 //!
-//! A panic message appears mid-run: that is the injected worker panic
-//! itself. The worker contains it (`catch_unwind`), converts it to a typed
-//! `FoldError::WorkerPanic`, retries the batch, and the service keeps
-//! answering — which is the point.
+//! The injected worker panic is modeled, not unwound: the service's engine
+//! turns it into a typed `FoldError::WorkerPanic`, retries the batch, and
+//! keeps answering — which is the point.
 
 use ln_fault::{FaultPlan, PressureWindow, ResilienceConfig, RetryPolicy};
 use ln_quant::ActPrecision;
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, FoldOutcome, FoldService,
-    LightNobelBackend, ServiceConfig,
+    LightNobelBackend,
 };
-use std::time::Duration;
 
 fn main() {
     let reg = ln_datasets::Registry::standard();
@@ -48,12 +46,9 @@ fn main() {
         ..ResilienceConfig::default()
     };
 
-    let cfg = ServiceConfig {
-        batcher: BatcherConfig {
-            max_wait_seconds: 0.05,
-            ..BatcherConfig::default()
-        },
-        dispatch_wall_delay: Duration::from_millis(5),
+    let cfg = BatcherConfig {
+        max_wait_seconds: 0.05,
+        ..BatcherConfig::default()
     };
     let svc =
         FoldService::start_with_resilience(policy, cfg, standard_backends(), plan, resilience);
@@ -69,6 +64,9 @@ fn main() {
         // budgets are generous: the point here is faults, not deadlines.
         .map(|&(name, len)| (name, svc.submit(name, len, 1e5).expect("admitted")))
         .collect();
+    // Shutdown fast-forwards through the modeled device time, so the
+    // near-capacity fold does not hold this process for minutes.
+    let stats = svc.shutdown();
     for (name, rx) in tickets {
         let resp = rx.recv().expect("every admitted request is answered");
         match resp.outcome {
@@ -89,7 +87,6 @@ fn main() {
         }
     }
 
-    let stats = svc.shutdown();
     let (per_backend, summary) = stats.resilience_tables();
     println!("\n{}", per_backend.render());
     println!("{}", summary.render());

@@ -4,8 +4,7 @@
 //! Run with `cargo run --release --example serving`.
 
 use ln_serve::{
-    standard_backends, BatcherConfig, BucketPolicy, Engine, FoldOutcome, FoldService,
-    ServiceConfig, WorkloadSpec,
+    standard_backends, BatcherConfig, BucketPolicy, Engine, FoldOutcome, FoldService, WorkloadSpec,
 };
 
 fn main() {
@@ -35,8 +34,11 @@ fn main() {
     );
 
     // 2. The threaded front-end: submit a few folds, including one only the
-    //    AAQ-capable backend can hold, then drain.
-    let svc = FoldService::start(policy, ServiceConfig::default(), standard_backends());
+    //    AAQ-capable backend can hold, then drain. The service runs the same
+    //    engine on the wall clock, where the giant fold would hold its
+    //    backend for minutes; shutdown fast-forwards through that, so it
+    //    comes before reading the receivers.
+    let svc = FoldService::start(policy, BatcherConfig::default(), standard_backends());
     let names = [
         ("CAMEO-ish", 180),
         ("CASP14-ish", 1100),
@@ -50,6 +52,7 @@ fn main() {
         // now refuses deadlines that cannot be met even best-case.
         .map(|&(name, len)| (name, svc.submit(name, len, 1e5).expect("admitted")))
         .collect();
+    let stats = svc.shutdown();
     for (name, rx) in tickets {
         let resp = rx.recv().expect("response");
         match resp.outcome {
@@ -70,7 +73,6 @@ fn main() {
             other => println!("{name:>12} -> {other:?}"),
         }
     }
-    let stats = svc.shutdown();
     println!(
         "service drained: {} completed, {} rejected, {} timed out",
         stats.completed(),

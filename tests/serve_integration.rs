@@ -8,7 +8,7 @@
 use ln_datasets::Registry;
 use ln_serve::{
     standard_backends, Backend, BatcherConfig, BucketPolicy, Engine, FoldOutcome, FoldService,
-    ServiceConfig, SubmitError, WorkloadSpec,
+    SubmitError, WorkloadSpec,
 };
 use std::time::{Duration, Instant};
 
@@ -54,18 +54,15 @@ fn batches_never_cross_bucket_boundaries() {
 
 #[test]
 fn bounded_queues_reject_rather_than_block() {
-    // A worker that holds the (single) backend for 50 ms per batch while
+    // The (single) backend is held for each batch's modeled time while
     // submissions arrive back-to-back: the one-deep queues must overflow,
     // and overflowing must not stall the caller.
     let policy = BucketPolicy::fixed(vec![512]);
-    let cfg = ServiceConfig {
-        batcher: BatcherConfig {
-            max_batch: 1,
-            max_wait_seconds: 0.0,
-            queue_capacity: 1,
-            ..BatcherConfig::default()
-        },
-        dispatch_wall_delay: Duration::from_millis(50),
+    let cfg = BatcherConfig {
+        max_batch: 1,
+        max_wait_seconds: 0.0,
+        queue_capacity: 1,
+        ..BatcherConfig::default()
     };
     let backends: Vec<Box<dyn Backend>> =
         vec![Box::new(ln_serve::LightNobelBackend::paper("LightNobel"))];
